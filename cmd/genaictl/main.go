@@ -299,27 +299,39 @@ func runDeploy(args []string) {
 				return
 			}
 			if resp.Stream != nil {
-				// Consume the SSE body chunk by chunk; the first delta's
-				// arrival is the client-observed time to first token.
-				tokens, ttft := 0, time.Duration(0)
+				// Consume the SSE body chunk by chunk; the first content
+				// delta's arrival is the client-observed time to first
+				// token, and the terminal chunk's usage is the token count.
+				deltas, completion, ttft := 0, 0, time.Duration(0)
 				for {
 					c, ok := resp.Stream.Next(p)
 					if !ok {
 						break
 					}
-					if payload, isEvent := vllm.ParseSSE(c.Data); isEvent && string(payload) != "[DONE]" {
-						if tokens == 0 {
+					payload, isEvent := vllm.ParseSSE(c.Data)
+					if !isEvent || string(payload) == "[DONE]" {
+						continue
+					}
+					d, err := vllm.DecodeChatChunk(payload)
+					if err != nil {
+						continue
+					}
+					if len(d.Content) > 0 {
+						if deltas == 0 {
 							ttft = p.Now().Sub(t0)
 						}
-						tokens++
+						deltas++
+					}
+					if d.HasUsage {
+						completion = d.Usage.CompletionTokens
 					}
 				}
 				if err := resp.Stream.Err(); err != nil {
 					failure = fmt.Errorf("stream truncated: %w", err)
 					return
 				}
-				fmt.Printf("  query streamed: first token in %s, %d chunks, done in %s\n",
-					ttft.Round(time.Millisecond), tokens, p.Now().Sub(t0).Round(time.Millisecond))
+				fmt.Printf("  query streamed: first token in %s, %d content deltas, %d completion tokens, done in %s\n",
+					ttft.Round(time.Millisecond), deltas, completion, p.Now().Sub(t0).Round(time.Millisecond))
 			} else {
 				var cr vllm.ChatResponse
 				json.Unmarshal(resp.Body, &cr)

@@ -89,18 +89,18 @@ func main() {
 				if !isEvent || string(payload) == "[DONE]" {
 					continue
 				}
-				var chunk vllm.ChatChunk
-				if json.Unmarshal(payload, &chunk) != nil || len(chunk.Choices) == 0 {
+				d, err := vllm.DecodeChatChunk(payload)
+				if err != nil {
 					continue
 				}
-				if c := chunk.Choices[0].Delta.Content; c != "" {
+				if len(d.Content) > 0 {
 					if ttft == 0 {
 						ttft = p.Now().Sub(t0)
 					}
-					reply.WriteString(c)
+					reply.Write(d.Content)
 				}
-				if chunk.Usage != nil {
-					prompt = chunk.Usage.PromptTokens
+				if d.HasUsage {
+					prompt = d.Usage.PromptTokens
 				}
 			}
 			if err := resp.Stream.Err(); err != nil {

@@ -178,14 +178,14 @@ func (t *HTTPTarget) consumeStream(p *sim.Proc, stream vhttp.ChunkReader, start 
 		if !isEvent || string(payload) == "[DONE]" {
 			continue
 		}
-		var chunk vllm.ChatChunk
-		if json.Unmarshal(payload, &chunk) != nil {
+		d, err := vllm.DecodeChatChunk(payload)
+		if err != nil {
 			continue
 		}
-		if chunk.Usage != nil {
-			out.Generated = chunk.Usage.CompletionTokens
+		if d.HasUsage {
+			out.Generated = d.Usage.CompletionTokens
 		}
-		if len(chunk.Choices) > 0 && chunk.Choices[0].Delta.Content != "" {
+		if len(d.Content) > 0 {
 			now := p.Now()
 			if tokens == 0 {
 				out.TTFT = now.Sub(start)

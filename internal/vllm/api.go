@@ -90,32 +90,6 @@ type ChatChunk struct {
 	Usage   *Usage            `json:"usage,omitempty"`
 }
 
-// SSEData is the line prefix framing every server-sent event.
-const SSEData = "data: "
-
-// SSEDone is the stream terminator event.
-const SSEDone = SSEData + "[DONE]\n\n"
-
-// SSEEvent frames a JSON payload as one server-sent event.
-func SSEEvent(v any) []byte {
-	body, _ := json.Marshal(v)
-	out := make([]byte, 0, len(SSEData)+len(body)+2)
-	out = append(out, SSEData...)
-	out = append(out, body...)
-	return append(out, '\n', '\n')
-}
-
-// ParseSSE splits a raw SSE event back into its data payload, reporting
-// whether the event carried one. Used by streaming clients (the bench
-// harness, tests); real chunks always carry exactly one data line.
-func ParseSSE(raw []byte) (payload []byte, ok bool) {
-	s := strings.TrimSuffix(string(raw), "\n\n")
-	if !strings.HasPrefix(s, SSEData) {
-		return nil, false
-	}
-	return []byte(strings.TrimPrefix(s, SSEData)), true
-}
-
 // ErrorResponse mirrors the OpenAI error envelope.
 type ErrorResponse struct {
 	Error struct {
@@ -350,34 +324,29 @@ func (a *APIServer) startTrace(p *sim.Proc, req *vhttp.Request) *trace.Trace {
 func (a *APIServer) chatStream(p *sim.Proc, cr ChatRequest, prompt int, opts SubmitOptions) *vhttp.Response {
 	stream := vhttp.NewBodyStream()
 	ready := p.Engine().NewSignal()
-	served := a.servedName()
-	id := ""
+	// Every chunk of the stream starts with the same bytes; they are
+	// encoded once, when SubmitOpts has assigned the id.
+	var head []byte
 	opts.OnToken = func(r *Request, n int) {
-		chunk := ChatChunk{
-			ID: id, Object: "chat.completion.chunk", Model: served,
-			Choices: []ChatChunkChoice{{Delta: ChatDelta{Content: TokenText(n)}}},
-		}
+		d := ChatDelta{Content: TokenText(n)}
 		if n == 1 {
 			// The first delta also names the assistant role, per OpenAI.
-			chunk.Choices[0].Delta.Role = "assistant"
+			d.Role = "assistant"
 		}
-		stream.Push(vhttp.Chunk{Data: SSEEvent(chunk)})
+		stream.Push(vhttp.Chunk{Data: tokenChunk(head, d)})
 		if n == 1 {
 			ready.Fire()
 		}
 	}
 	r := a.Engine.SubmitOpts(opts)
-	id = "chatcmpl-" + r.ID
+	head = appendChunkHead(nil, "chatcmpl-"+r.ID, a.servedName())
 	r.Done().OnFire(func() {
 		if r.Err != nil {
 			stream.Fail(r.Err)
 		} else {
 			// Terminal chunk: empty delta, finish_reason, usage accounting.
-			stream.Push(vhttp.Chunk{Data: SSEEvent(ChatChunk{
-				ID: id, Object: "chat.completion.chunk", Model: served,
-				Choices: []ChatChunkChoice{{FinishReason: "stop"}},
-				Usage:   &Usage{PromptTokens: prompt, CompletionTokens: r.Generated, TotalTokens: prompt + r.Generated},
-			})})
+			stream.Push(vhttp.Chunk{Data: appendChunk(nil, head, ChatDelta{}, "stop",
+				&Usage{PromptTokens: prompt, CompletionTokens: r.Generated, TotalTokens: prompt + r.Generated})})
 			stream.Push(vhttp.Chunk{Data: []byte(SSEDone)})
 			stream.Close()
 		}
@@ -473,27 +442,4 @@ func (a *APIServer) renderMetrics() string {
 	fmt.Fprintf(&b, "vllm:cpu_cache_demotions_total %d\n", st.TierDemotions)
 	fmt.Fprintf(&b, "vllm:cpu_cache_promotions_total %d\n", st.TierPromotions)
 	return b.String()
-}
-
-// ParseMetric extracts one gauge from a Prometheus-flavored text exposition
-// (the /metrics surface above). External observability tooling reads the
-// text surface; the serving stack itself consumes the typed
-// telemetry.Snapshot from /telemetry instead — the gateway's steady-state
-// load path no longer string-parses metrics.
-func ParseMetric(text, name string) (float64, bool) {
-	for _, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if !strings.HasPrefix(line, name) {
-			continue
-		}
-		rest := strings.TrimPrefix(line, name)
-		if rest == "" || (rest[0] != ' ' && rest[0] != '\t') {
-			continue // a longer metric name sharing the prefix
-		}
-		var v float64
-		if _, err := fmt.Sscanf(strings.TrimSpace(rest), "%g", &v); err == nil {
-			return v, true
-		}
-	}
-	return 0, false
 }

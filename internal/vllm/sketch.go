@@ -165,18 +165,19 @@ var (
 // scanString returns the span inside a JSON string literal starting at
 // body[i] == '"' and the index past the closing quote. Strings containing
 // escape sequences fail (unescaping would allocate; callers fall back to
-// no prefix signal, and the simulation's prompt generators emit none).
+// a real decoder or no signal, and the simulation emits none), as do raw
+// control characters, which JSON does not allow in a string.
 func scanString(body []byte, i int) (s []byte, next int, ok bool) {
 	if i >= len(body) || body[i] != '"' {
 		return nil, 0, false
 	}
 	start := i + 1
 	for j := start; j < len(body); j++ {
-		switch body[j] {
-		case '\\':
-			return nil, 0, false
-		case '"':
+		switch c := body[j]; {
+		case c == '"':
 			return body[start:j], j + 1, true
+		case c == '\\' || c < 0x20:
+			return nil, 0, false
 		}
 	}
 	return nil, 0, false
