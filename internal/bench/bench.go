@@ -84,7 +84,6 @@ func Shed(err error) bool {
 
 // Do implements Target.
 func (t *HTTPTarget) Do(p *sim.Proc, prompt, maxNew int) (Outcome, error) {
-	content := vllm.SynthesizeText(max(prompt-4, 1))
 	// Tag each prompt unique: throughput benchmarks measure prefill+decode
 	// compute, and two same-length synthesized prompts would otherwise be
 	// identical and served from the engine's prefix cache — real harnesses
@@ -93,23 +92,21 @@ func (t *HTTPTarget) Do(p *sim.Proc, prompt, maxNew int) (Outcome, error) {
 	// back to a compact base-36 tag, and when even that does not fit the
 	// tag *is* the content (padding the prompt by a token at most) — no two
 	// benchmark prompts are ever byte-identical.
+	n := max(prompt-4, 1)
 	t.seq++
-	tag := fmt.Sprintf("benchmark request %d ", t.seq)
-	if len(tag) > len(content) {
-		tag = strconv.FormatInt(int64(t.seq), 36) + " "
+	var buf [48]byte
+	tag := append(strconv.AppendInt(append(buf[:0], "benchmark request "...), int64(t.seq), 10), ' ')
+	if len(tag) > n*4 {
+		tag = append(strconv.AppendInt(buf[:0], int64(t.seq), 36), ' ')
 	}
-	if len(tag) < len(content) {
-		content = tag + content[len(tag):]
-	} else {
-		content = tag
-	}
+	content := vllm.SynthesizeTagged(string(tag), n)
 	return t.exchange(p, []vllm.ChatMessage{{Role: "user", Content: content}}, maxNew, nil)
 }
 
 // exchange performs one chat completion with the given message list,
 // shared by the closed-loop Do and the open-loop workload DoChat.
 func (t *HTTPTarget) exchange(p *sim.Proc, msgs []vllm.ChatMessage, maxNew int, extraHeader map[string]string) (Outcome, error) {
-	body, _ := json.Marshal(vllm.ChatRequest{
+	body := vllm.EncodeChatRequest(vllm.ChatRequest{
 		Model:     t.Model,
 		Messages:  msgs,
 		MaxTokens: maxNew,
@@ -146,8 +143,8 @@ func (t *HTTPTarget) exchange(p *sim.Proc, msgs []vllm.ChatMessage, maxNew int, 
 	if t.Stream {
 		return Outcome{}, fmt.Errorf("requested stream=true but got a buffered response")
 	}
-	var cr vllm.ChatResponse
-	if err := json.Unmarshal(resp.Body, &cr); err != nil {
+	usage, err := vllm.DecodeChatUsage(resp.Body)
+	if err != nil {
 		return Outcome{}, fmt.Errorf("bad response: %w", err)
 	}
 	var ttft time.Duration
@@ -158,7 +155,7 @@ func (t *HTTPTarget) exchange(p *sim.Proc, msgs []vllm.ChatMessage, maxNew int, 
 			ttft = time.Duration(us) * time.Microsecond
 		}
 	}
-	return Outcome{Generated: cr.Usage.CompletionTokens, TTFT: ttft}, nil
+	return Outcome{Generated: usage.CompletionTokens, TTFT: ttft}, nil
 }
 
 // consumeStream pulls SSE chunks as the engine produces them, timing the

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/metrics"
@@ -253,12 +254,11 @@ func RunWorkload(p *sim.Proc, target ChatTarget, name string, reqs []workload.Re
 // length, tagged unique per (cohort, session, turn) — sessions must share
 // history with themselves only, never with a same-length neighbor.
 func turnText(r workload.Request) string {
-	content := vllm.SynthesizeText(r.NewTokens)
-	tag := fmt.Sprintf("%s s%d t%d ", r.Cohort, r.Session, r.Turn)
-	if len(tag) < len(content) {
-		return tag + content[len(tag):]
-	}
-	return tag
+	var buf [64]byte
+	tag := append(append(buf[:0], r.Cohort...), " s"...)
+	tag = append(strconv.AppendInt(tag, int64(r.Session), 10), " t"...)
+	tag = append(strconv.AppendInt(tag, int64(r.Turn), 10), ' ')
+	return vllm.SynthesizeTagged(string(tag), r.NewTokens)
 }
 
 // WorkloadCohortPoint is one cohort row in the workload artifact.

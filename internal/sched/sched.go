@@ -25,9 +25,11 @@ import (
 	"fmt"
 	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/jsonscan"
 )
 
 // Class is a request's priority class. Higher values dequeue first from
@@ -149,32 +151,36 @@ type bodyAttrs struct {
 // session_id, else its user field), and the priority class (X-Priority
 // header, else the body's priority field). Unknown class names fail safe
 // to ClassBatch — mislabeled traffic must not claim interactive priority.
-// The error is non-nil only when the body is not valid JSON — header-borne
-// attributes are still returned so a bound gateway can stay lenient while
-// a router surfaces the 400.
+// The error is non-nil only when the body is not valid JSON or a typed
+// field has the wrong type — header-borne attributes are still returned
+// so a bound gateway can stay lenient while a router surfaces the 400.
+//
+// The body is scanned in place (scanAttrs), so the only allocations are
+// the strings returned; any body the scanner cannot read exactly as
+// json.Unmarshal into bodyAttrs would goes to json.Unmarshal.
 func Describe(header map[string]string, body []byte) (Request, error) {
-	var a bodyAttrs
+	a, ok := scanAttrs(body)
 	var err error
-	if jerr := json.Unmarshal(body, &a); jerr != nil {
-		err = fmt.Errorf("request body is not valid JSON (%v)", jerr)
+	if !ok {
+		var ja bodyAttrs
+		if jerr := json.Unmarshal(body, &ja); jerr != nil {
+			err = fmt.Errorf("request body is not valid JSON (%v)", jerr)
+		}
+		a = rawAttrs{[]byte(ja.Model), []byte(ja.SessionID), []byte(ja.User), []byte(ja.Priority)}
 	}
-	r := Request{Model: a.Model}
+	r := Request{Model: string(a.model)}
 	r.TraceID = header[trace.Header]
 	r.SessionKey = header[SessionHeader]
 	if r.SessionKey == "" {
-		r.SessionKey = a.SessionID
+		r.SessionKey = string(a.sessionID)
 	}
 	if r.SessionKey == "" {
-		r.SessionKey = a.User
+		r.SessionKey = string(a.user)
 	}
-	cls := header[PriorityHeader]
-	if cls == "" {
-		cls = a.Priority
-	}
-	if c, cerr := ParseClass(cls); cerr == nil {
-		r.Class = c
+	if cls := header[PriorityHeader]; cls != "" {
+		r.Class = classOf(cls)
 	} else {
-		r.Class = ClassBatch
+		r.Class = classOf(a.priority)
 	}
 	if v := header[TTFTTargetHeader]; v != "" {
 		if us, perr := strconv.ParseInt(v, 10, 64); perr == nil && us > 0 {
@@ -182,6 +188,43 @@ func Describe(header map[string]string, body []byte) (Request, error) {
 		}
 	}
 	return r, err
+}
+
+// classOf resolves a priority class name as Describe does: unknown names
+// are ClassBatch.
+func classOf[S string | []byte](name S) Class {
+	switch string(name) {
+	case "":
+		return ClassUnset
+	case "interactive":
+		return ClassInteractive
+	}
+	return ClassBatch
+}
+
+// rawAttrs are bodyAttrs as spans of the body.
+type rawAttrs struct{ model, sessionID, user, priority []byte }
+
+// attrFields are bodyAttrs' JSON names, in rawAttrs order.
+var attrFields = []string{"model", "session_id", "user", "priority"}
+
+// scanAttrs reads bodyAttrs from body without decoding it: it walks the
+// top-level object, takes the four attribute strings as spans, and
+// validates every other member (messages, max_tokens, ...) without
+// decoding it. ok is true only when json.Unmarshal into bodyAttrs would
+// succeed with the same fields; see repro/jsonscan for what it hands back.
+func scanAttrs(b []byte) (a rawAttrs, ok bool) {
+	spans := [...]*[]byte{&a.model, &a.sessionID, &a.user, &a.priority}
+	i, ok := jsonscan.Object(b, 0, attrFields, func(f, i int) (next int, ok bool) {
+		if f < 0 {
+			return jsonscan.Value(b, i)
+		}
+		s := spans[f]
+		*s, next, ok = jsonscan.StringOrNull(b, i)
+		// json.Unmarshal replaces invalid UTF-8 with U+FFFD.
+		return next, ok && utf8.Valid(*s)
+	})
+	return a, ok && jsonscan.End(b, i)
 }
 
 // Backend is one routable replica as the scheduling layer sees it. The

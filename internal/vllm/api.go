@@ -135,12 +135,43 @@ func EstimateTokens(text string) int {
 }
 
 // SynthesizeText produces placeholder completion text of about n tokens.
-func SynthesizeText(n int) string {
-	var b strings.Builder
-	for b.Len() < n*4 {
-		b.WriteString(synthWords)
+func SynthesizeText(n int) string { return SynthesizeTagged("", n) }
+
+// SynthesizeTagged returns SynthesizeText(n) with its leading bytes
+// replaced by tag, or tag itself when it is not shorter than that text —
+// how benchmark clients make same-length prompts distinct — built in one
+// allocation.
+func SynthesizeTagged(tag string, n int) string {
+	size := n * 4
+	if len(tag) >= size {
+		return tag
 	}
-	return b.String()[:n*4]
+	var b strings.Builder
+	b.Grow(size)
+	b.WriteString(tag)
+	for p := len(tag); p < size; {
+		piece := synthPiece(p, size)
+		b.WriteString(piece)
+		p += len(piece)
+	}
+	return b.String()
+}
+
+// appendSynth appends bytes [from, to) of the synthesized text.
+func appendSynth(dst []byte, from, to int) []byte {
+	for from < to {
+		piece := synthPiece(from, to)
+		dst = append(dst, piece...)
+		from += len(piece)
+	}
+	return dst
+}
+
+// synthPiece returns the longest run of the synthesized text that starts
+// at byte p, ends by byte to, and does not wrap around synthWords.
+func synthPiece(p, to int) string {
+	k := p % len(synthWords)
+	return synthWords[k:min(len(synthWords), k+to-p)]
 }
 
 const synthWords = "the model generated this simulated completion token stream for benchmarking purposes only "
@@ -224,16 +255,12 @@ func (a *APIServer) chat(p *sim.Proc, req *vhttp.Request) *vhttp.Response {
 	if !a.authorized(req) {
 		return jsonErr(401, "invalid API key")
 	}
-	var cr ChatRequest
-	if err := json.Unmarshal(req.Body, &cr); err != nil {
+	cr, err := DecodeChatRequest(req.Body, a.Engine.Config().BlockSize)
+	if err != nil {
 		return jsonErr(400, "bad request body: "+err.Error())
 	}
-	if cr.Model != "" && cr.Model != a.servedName() {
+	if len(cr.Model) != 0 && string(cr.Model) != a.servedName() {
 		return jsonErr(404, fmt.Sprintf("model %q does not exist; serving %q", cr.Model, a.servedName()))
-	}
-	prompt := 0
-	for _, m := range cr.Messages {
-		prompt += EstimateTokens(m.Content) + 4 // +4 per-message template overhead
 	}
 	maxNew := cr.MaxTokens
 	if maxNew <= 0 {
@@ -246,33 +273,24 @@ func (a *APIServer) chat(p *sim.Proc, req *vhttp.Request) *vhttp.Response {
 		maxNew = 1
 	}
 	opts := SubmitOptions{
-		Prompt: prompt, MaxNew: maxNew,
-		PromptHashes: ChatPromptHashes(a.Engine.Config().BlockSize, cr.Messages),
+		Prompt: cr.Prompt, MaxNew: maxNew,
+		PromptHashes: cr.Hashes,
 		Class:        cr.Priority,
 	}
 	applySchedHints(&opts, req.Header)
 	opts.Trace = a.startTrace(p, req)
 	if cr.Stream {
-		return a.chatStream(p, cr, prompt, opts)
+		return a.chatStream(p, cr, opts)
 	}
 	r := a.Engine.SubmitOpts(opts)
 	p.Wait(r.Done())
 	if r.Err != nil {
 		return jsonErr(500, r.Err.Error())
 	}
-	resp := ChatResponse{
-		ID: "chatcmpl-" + r.ID, Object: "chat.completion", Model: a.servedName(),
-		Choices: []ChatChoice{{
-			Message:      ChatMessage{Role: "assistant", Content: SynthesizeText(r.Generated)},
-			FinishReason: "stop",
-		}},
-		Usage: Usage{PromptTokens: prompt, CompletionTokens: r.Generated, TotalTokens: prompt + r.Generated},
-	}
-	body, _ := json.Marshal(resp)
-	out := vhttp.JSON(200, body)
+	out := vhttp.JSON(200, chatResponseBody(r.ID, a.servedName(), cr.Prompt, r.Generated))
 	// Streaming clients observe TTFT directly; the simulation surfaces it as
 	// a response header so the benchmark can record the same metric.
-	out.SetHeader("X-Request-Ttft-Micros", fmt.Sprintf("%d", r.TTFT().Microseconds()))
+	out.SetHeader("X-Request-Ttft-Micros", strconv.FormatInt(r.TTFT().Microseconds(), 10))
 	if et := opts.Trace; et != nil {
 		et.Finish(p.Now(), "")
 		out.Trace = et
@@ -321,7 +339,7 @@ func (a *APIServer) startTrace(p *sim.Proc, req *vhttp.Request) *trace.Trace {
 // first token surfaces as a buffered 500 the gateway may retry on another
 // replica; once the first byte is out, a failure truncates the stream
 // (Err() on the reader) and is never silently retried.
-func (a *APIServer) chatStream(p *sim.Proc, cr ChatRequest, prompt int, opts SubmitOptions) *vhttp.Response {
+func (a *APIServer) chatStream(p *sim.Proc, cr ChatCall, opts SubmitOptions) *vhttp.Response {
 	stream := vhttp.NewBodyStream()
 	ready := p.Engine().NewSignal()
 	// Every chunk of the stream starts with the same bytes; they are
@@ -346,7 +364,7 @@ func (a *APIServer) chatStream(p *sim.Proc, cr ChatRequest, prompt int, opts Sub
 		} else {
 			// Terminal chunk: empty delta, finish_reason, usage accounting.
 			stream.Push(vhttp.Chunk{Data: appendChunk(nil, head, ChatDelta{}, "stop",
-				&Usage{PromptTokens: prompt, CompletionTokens: r.Generated, TotalTokens: prompt + r.Generated})})
+				&Usage{PromptTokens: cr.Prompt, CompletionTokens: r.Generated, TotalTokens: cr.Prompt + r.Generated})})
 			stream.Push(vhttp.Chunk{Data: []byte(SSEDone)})
 			stream.Close()
 		}
@@ -359,7 +377,7 @@ func (a *APIServer) chatStream(p *sim.Proc, cr ChatRequest, prompt int, opts Sub
 	}
 	resp := &vhttp.Response{Status: 200, Stream: stream}
 	resp.SetHeader("Content-Type", "text/event-stream")
-	resp.SetHeader("X-Request-Ttft-Micros", fmt.Sprintf("%d", r.TTFT().Microseconds()))
+	resp.SetHeader("X-Request-Ttft-Micros", strconv.FormatInt(r.TTFT().Microseconds(), 10))
 	if et := opts.Trace; et != nil {
 		// The pointer stays live while the stream drains: the engine
 		// records the decode span at finish, which precedes the terminal

@@ -351,61 +351,83 @@ func fnvUint(h, v uint64) uint64 {
 	return h
 }
 
-// chainBlocks folds a per-token hash stream into per-full-block chain
-// keys: block i's key covers its own tokens and, through the chain, every
-// token before it.
-func chainBlocks(tokens []uint64, blockSize int) []uint64 {
-	if blockSize <= 0 {
-		return nil
-	}
-	n := len(tokens) / blockSize
-	out := make([]uint64, 0, n)
-	h := uint64(fnvOffset64)
-	for i := 0; i < n; i++ {
-		for _, t := range tokens[i*blockSize : (i+1)*blockSize] {
-			h = fnvUint(h, t)
-		}
-		out = append(out, h)
-	}
-	return out
+// blockChain folds a prompt's token hashes into its per-full-block chain
+// keys as they are produced, so no per-token slice is ever built: block
+// i's key covers its own tokens and, through the chain, every token before
+// it. Folding stops once every slot of keys is filled, so a caller sizes
+// keys to the blocks it wants — all full blocks, or just the first.
+type blockChain struct {
+	h    uint64 // chain key over every token folded so far
+	fill int    // tokens folded into the current, incomplete block
+	size int
+	keys []uint64
+	n    int // block keys completed
 }
 
-// messageTokenHashes appends one hash per estimated token of the message
-// (EstimateTokens(content) + the per-message template overhead), each
-// derived from the message identity and the token's position.
-func messageTokenHashes(dst []uint64, m ChatMessage) []uint64 {
-	base := fnvString(fnvString(fnvOffset64, m.Role), m.Content)
-	n := EstimateTokens(m.Content) + 4
-	for j := 0; j < n; j++ {
-		dst = append(dst, fnvUint(base, uint64(j)))
-	}
-	return dst
+func newBlockChain(blockSize int, keys []uint64) blockChain {
+	return blockChain{h: fnvOffset64, size: blockSize, keys: keys}
 }
+
+// full reports whether every wanted block key has been folded.
+func (c *blockChain) full() bool { return c.n == len(c.keys) }
+
+// token folds one token hash.
+func (c *blockChain) token(t uint64) {
+	c.h = fnvUint(c.h, t)
+	if c.fill++; c.fill == c.size {
+		c.keys[c.n] = c.h
+		c.n++
+		c.fill = 0
+	}
+}
+
+// done returns the completed block keys.
+func (c *blockChain) done() []uint64 { return c.keys[:c.n] }
+
+// message folds one chat message's token hashes: one per estimated token
+// (EstimateTokens(content) + the per-message template overhead), each
+// derived from the message identity base and the token's position.
+func (c *blockChain) message(base uint64, tokens int) {
+	for j := 0; j < tokens && !c.full(); j++ {
+		c.token(fnvUint(base, uint64(j)))
+	}
+}
+
+// messageTokens is the prompt-token charge of one chat message.
+func messageTokens(content string) int { return EstimateTokens(content) + 4 }
 
 // ChatPromptHashes derives the per-block prefix keys for a chat prompt.
 // The hash stream length equals the token count the API server charges for
 // the same messages, so block keys line up with KV block boundaries.
 func ChatPromptHashes(blockSize int, msgs []ChatMessage) []uint64 {
-	var tokens []uint64
-	for _, m := range msgs {
-		tokens = messageTokenHashes(tokens, m)
+	if blockSize <= 0 {
+		return nil
 	}
-	return chainBlocks(tokens, blockSize)
+	tokens := 0
+	for _, m := range msgs {
+		tokens += messageTokens(m.Content)
+	}
+	c := newBlockChain(blockSize, make([]uint64, tokens/blockSize))
+	for _, m := range msgs {
+		if c.full() {
+			break
+		}
+		c.message(fnvString(fnvString(fnvOffset64, m.Role), m.Content), messageTokens(m.Content))
+	}
+	return c.done()
 }
 
 // TextPromptHashes derives per-block prefix keys for a raw completion
 // prompt: one hash per estimated token, keyed by the token's 4-character
 // span so texts sharing a literal prefix share leading blocks.
 func TextPromptHashes(blockSize int, text string) []uint64 {
-	n := EstimateTokens(text)
-	tokens := make([]uint64, 0, n)
-	for j := 0; j < n; j++ {
-		lo := j * 4
-		hi := lo + 4
-		if hi > len(text) {
-			hi = len(text)
-		}
-		tokens = append(tokens, fnvString(fnvOffset64, text[lo:hi]))
+	if blockSize <= 0 {
+		return nil
 	}
-	return chainBlocks(tokens, blockSize)
+	n := EstimateTokens(text)
+	c := newBlockChain(blockSize, make([]uint64, n/blockSize))
+	for j := 0; j < n && !c.full(); j++ {
+		c.token(fnvString(fnvOffset64, text[j*4:min(j*4+4, len(text))]))
+	}
+	return c.done()
 }

@@ -20,6 +20,19 @@ func tokenStream(seed uint64, n int) []uint64 {
 	return out
 }
 
+// chainBlocks folds a per-token hash stream into its per-full-block chain
+// keys, as the prompt hashers do.
+func chainBlocks(tokens []uint64, blockSize int) []uint64 {
+	c := newBlockChain(blockSize, make([]uint64, len(tokens)/blockSize))
+	for _, t := range tokens {
+		if c.full() {
+			break
+		}
+		c.token(t)
+	}
+	return c.done()
+}
+
 func TestPrefixAcquireShareRelease(t *testing.T) {
 	kv := NewKVCache(100, 16)
 	idx := NewPrefixIndex(kv)

@@ -10,19 +10,34 @@ func bigSystemPrompt() ChatMessage {
 	return ChatMessage{Role: "system", Content: strings.Repeat("You are a careful HPC serving assistant. ", 12)}
 }
 
+// prefixKey is the oracle for the router-side prefix key: block 0 of the
+// engine's prompt hashes, 0 when the prompt fills no block.
+func prefixKey(msgs []ChatMessage) uint64 {
+	if h := ChatPromptHashes(DefaultBlockSize, msgs); len(h) > 0 {
+		return h[0]
+	}
+	return 0
+}
+
 func TestChatPrefixKeyMatchesPromptHashes(t *testing.T) {
 	cases := [][]ChatMessage{
 		{bigSystemPrompt()},
 		{bigSystemPrompt(), {Role: "user", Content: "explain tiered KV caches in one paragraph"}},
 		{bigSystemPrompt(), {Role: "user", Content: "hi"}, {Role: "assistant", Content: strings.Repeat("blocks ", 40)}},
+		// The first block completes inside the second message.
+		{{Role: "system", Content: strings.Repeat("s", 40)}, {Role: "user", Content: strings.Repeat("u", 200)}},
 	}
 	for i, msgs := range cases {
 		hashes := ChatPromptHashes(DefaultBlockSize, msgs)
 		if len(hashes) == 0 {
 			t.Fatalf("case %d: prompt shorter than one block, pick a longer fixture", i)
 		}
-		if got := ChatPrefixKey(DefaultBlockSize, msgs); got != hashes[0] {
-			t.Errorf("case %d: ChatPrefixKey = %#x, want depth-0 hash %#x", i, got, hashes[0])
+		body, err := json.Marshal(ChatRequest{Model: "scout", Messages: msgs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ChatPrefixKeyRaw(DefaultBlockSize, body); got != hashes[0] {
+			t.Errorf("case %d: ChatPrefixKeyRaw = %#x, want depth-0 hash %#x", i, got, hashes[0])
 		}
 	}
 	// Prompts shorter than one block have no depth-0 block to route on.
@@ -30,7 +45,8 @@ func TestChatPrefixKeyMatchesPromptHashes(t *testing.T) {
 	if len(ChatPromptHashes(DefaultBlockSize, short)) != 0 {
 		t.Fatal("fixture unexpectedly fills a block")
 	}
-	if got := ChatPrefixKey(DefaultBlockSize, short); got != 0 {
+	body, _ := json.Marshal(ChatRequest{Messages: short})
+	if got := ChatPrefixKeyRaw(DefaultBlockSize, body); got != 0 {
 		t.Errorf("short prompt key = %#x, want 0", got)
 	}
 }
@@ -47,7 +63,7 @@ func TestChatPrefixKeyRawMatchesDecoded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := ChatPrefixKey(DefaultBlockSize, req.Messages)
+		want := prefixKey(req.Messages)
 		if got := ChatPrefixKeyRaw(DefaultBlockSize, body); got != want {
 			t.Errorf("case %d: raw key %#x != decoded key %#x", i, got, want)
 		}

@@ -3,9 +3,10 @@ package vllm
 import (
 	"bytes"
 	"encoding/json"
-	"slices"
 	"strconv"
 	"unicode/utf8"
+
+	"repro/jsonscan"
 )
 
 // The SSE token path. Every streamed token is one chat.completion.chunk
@@ -95,19 +96,26 @@ func tokenChunk(head []byte, d ChatDelta) []byte {
 	return appendChunk(make([]byte, 0, len(head)+len(d.Role)+len(d.Content)+fixed), head, d, "", nil)
 }
 
-// appendJSONString appends s as encoding/json writes it. Printable ASCII
-// other than the characters it escapes (`"`, `\`, and the HTML-sensitive
-// `<`, `>`, `&`) is copied raw; anything else is left to json.Marshal.
+// appendJSONString appends s as encoding/json writes it.
 func appendJSONString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	dst = appendJSONStringBody(dst, s)
+	return append(dst, '"')
+}
+
+// appendJSONStringBody appends what encoding/json writes between the
+// quotes of s. Printable ASCII other than the characters it escapes (`"`,
+// `\`, and the HTML-sensitive `<`, `>`, `&`) is copied raw; anything else
+// is left to json.Marshal. encoding/json escapes rune by rune, so the body
+// of an ASCII prefix followed by s is the prefix followed by s's body.
+func appendJSONStringBody(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
 			b, _ := json.Marshal(s)
-			return append(dst, b...)
+			return append(dst, b[1:len(b)-1]...)
 		}
 	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
+	return append(dst, s...)
 }
 
 // ChunkDelta is what a streaming client reads from one chat.completion.chunk:
@@ -159,13 +167,15 @@ var (
 // sequences, numbers a Go int field would reject, and any other shape
 // outside the ChatChunk schema.
 func scanChatChunk(b []byte) (d ChunkDelta, ok bool) {
-	i, ok := scanObject(b, 0, chunkFields, func(f, i int) (int, bool) {
+	i, ok := jsonscan.Object(b, 0, chunkFields, func(f, i int) (int, bool) {
 		switch f {
+		case -1:
+			return 0, false
 		case 3: // choices
-			if next, null := skipNull(b, i); null {
+			if next, null := jsonscan.SkipNull(b, i); null {
 				return next, true
 			}
-			return scanArray(b, i, func(n, i int) (int, bool) {
+			return jsonscan.Array(b, i, func(n, i int) (int, bool) {
 				if n == 0 {
 					return scanChoice(b, i, &d.Content)
 				}
@@ -173,19 +183,23 @@ func scanChatChunk(b []byte) (d ChunkDelta, ok bool) {
 				return scanChoice(b, i, &rest)
 			})
 		case 4: // usage
-			if next, null := skipNull(b, i); null {
+			if next, null := jsonscan.SkipNull(b, i); null {
 				return next, true
 			}
 			d.HasUsage = true
 			counts := [...]*int{&d.Usage.PromptTokens, &d.Usage.CompletionTokens, &d.Usage.TotalTokens}
-			return scanObject(b, i, usageFields, func(f, i int) (next int, ok bool) {
-				next, *counts[f], ok = scanIntOrNull(b, i)
+			return jsonscan.Object(b, i, usageFields, func(f, i int) (next int, ok bool) {
+				if f < 0 {
+					return 0, false
+				}
+				next, *counts[f], ok = jsonscan.IntOrNull(b, i)
 				return next, ok
 			})
 		}
-		return skipStringOrNull(b, i) // id, object, model
+		_, next, ok := jsonscan.StringOrNull(b, i) // id, object, model
+		return next, ok
 	})
-	if !ok || skipSpace(b, i) != len(b) {
+	if !ok || !jsonscan.End(b, i) {
 		return ChunkDelta{}, false
 	}
 	return d, true
@@ -193,144 +207,31 @@ func scanChatChunk(b []byte) (d ChunkDelta, ok bool) {
 
 // scanChoice scans one choice object into its delta content.
 func scanChoice(b []byte, i int, content *[]byte) (int, bool) {
-	return scanObject(b, i, choiceFields, func(f, i int) (int, bool) {
+	return jsonscan.Object(b, i, choiceFields, func(f, i int) (int, bool) {
 		switch f {
+		case -1:
+			return 0, false
 		case 0: // index
-			next, _, ok := scanIntOrNull(b, i)
+			next, _, ok := jsonscan.IntOrNull(b, i)
 			return next, ok
 		case 1: // delta
-			if next, null := skipNull(b, i); null {
+			if next, null := jsonscan.SkipNull(b, i); null {
 				return next, true
 			}
-			return scanObject(b, i, deltaFields, func(f, i int) (int, bool) {
-				if _, null := skipNull(b, i); f == 0 || null { // role, or a null content
-					return skipStringOrNull(b, i)
+			return jsonscan.Object(b, i, deltaFields, func(f, i int) (int, bool) {
+				if f < 0 {
+					return 0, false
 				}
-				s, next, ok := scanString(b, i)
-				*content = s
+				s, next, ok := jsonscan.StringOrNull(b, i)
+				if f == 1 { // content
+					*content = s
+				}
 				// json.Unmarshal replaces invalid UTF-8 with U+FFFD, so
 				// only valid text may be handed out as-is.
-				return next, ok && utf8.Valid(s)
+				return next, ok && (f == 0 || utf8.Valid(s))
 			})
 		}
-		return skipStringOrNull(b, i) // finish_reason
+		_, next, ok := jsonscan.StringOrNull(b, i) // finish_reason
+		return next, ok
 	})
-}
-
-// scanObject walks the object at b[i] (after whitespace) and returns the
-// index past it. Every key must name one of fields exactly, at most once;
-// member is called with the field's index and the index of its value, and
-// returns the index past the value.
-func scanObject(b []byte, i int, fields []string, member func(f, i int) (int, bool)) (int, bool) {
-	i = skipSpace(b, i)
-	if i >= len(b) || b[i] != '{' {
-		return 0, false
-	}
-	if i = skipSpace(b, i+1); i < len(b) && b[i] == '}' {
-		return i + 1, true
-	}
-	seen := 0
-	for {
-		key, j, ok := scanString(b, i)
-		if !ok {
-			return 0, false
-		}
-		f := slices.Index(fields, string(key))
-		if f < 0 || seen&(1<<f) != 0 {
-			return 0, false
-		}
-		seen |= 1 << f
-		if j = skipSpace(b, j); j >= len(b) || b[j] != ':' {
-			return 0, false
-		}
-		if i, ok = member(f, skipSpace(b, j+1)); !ok {
-			return 0, false
-		}
-		if i = skipSpace(b, i); i >= len(b) {
-			return 0, false
-		}
-		switch b[i] {
-		case ',':
-			i = skipSpace(b, i+1)
-		case '}':
-			return i + 1, true
-		default:
-			return 0, false
-		}
-	}
-}
-
-// scanArray walks the array at b[i] and returns the index past it, calling
-// elem with each element's position and index.
-func scanArray(b []byte, i int, elem func(n, i int) (int, bool)) (int, bool) {
-	if i >= len(b) || b[i] != '[' {
-		return 0, false
-	}
-	if i = skipSpace(b, i+1); i < len(b) && b[i] == ']' {
-		return i + 1, true
-	}
-	for n := 0; ; n++ {
-		var ok bool
-		if i, ok = elem(n, i); !ok {
-			return 0, false
-		}
-		if i = skipSpace(b, i); i >= len(b) {
-			return 0, false
-		}
-		switch b[i] {
-		case ',':
-			i = skipSpace(b, i+1)
-		case ']':
-			return i + 1, true
-		default:
-			return 0, false
-		}
-	}
-}
-
-// skipNull consumes a null literal at b[i].
-func skipNull(b []byte, i int) (int, bool) {
-	if bytes.HasPrefix(b[i:], []byte("null")) {
-		return i + 4, true
-	}
-	return i, false
-}
-
-func skipStringOrNull(b []byte, i int) (int, bool) {
-	if next, ok := skipNull(b, i); ok {
-		return next, true
-	}
-	_, next, ok := scanString(b, i)
-	return next, ok
-}
-
-// scanIntOrNull reads a value bound to a Go int field: null (the field
-// keeps its zero value) or an integer literal. Fractions, exponents and
-// literals of more than 18 digits are reported !ok — json.Unmarshal
-// rejects the first two and may overflow on the last.
-func scanIntOrNull(b []byte, i int) (next, v int, ok bool) {
-	if next, ok = skipNull(b, i); ok {
-		return next, 0, true
-	}
-	j, neg := i, false
-	if j < len(b) && b[j] == '-' {
-		neg = true
-		j++
-	}
-	start := j
-	for j < len(b) && b[j] >= '0' && b[j] <= '9' {
-		v = v*10 + int(b[j]-'0')
-		j++
-	}
-	digits := j - start
-	if digits == 0 || digits > 18 || (digits > 1 && b[start] == '0') {
-		return 0, 0, false
-	}
-	if j < len(b) && (b[j] == '.' || b[j] == 'e' || b[j] == 'E') {
-		return 0, 0, false
-	}
-	if neg {
-		v = -v
-	}
-	return j, v, true
 }
